@@ -5,8 +5,9 @@ Attaches the span tracer + metrics registry to the reference SoC, runs
 one dynamic partial reconfiguration through the full driver stack, then
 shows what the observability layer captured:
 
-* the span tree of the driver's Listing-1 flow (decision, decouple,
-  Tr window with kick/transfer/isr children, recouple);
+* the span timeline: the driver's Listing-1 flow (decision, decouple,
+  Tr window with kick/transfer/isr children, recouple) next to the DMA
+  transfer, the ICAP session and the PLIC delivery;
 * the Tr latency-breakdown report, whose phase cycle sum equals the
   end-to-end window exactly;
 * metric instruments (DMA burst-latency histogram, ICAP word counters,
@@ -21,7 +22,7 @@ import sys
 from pathlib import Path
 
 from repro import ReconfigurationManager, build_soc
-from repro.obs import build_tr_breakdown, render_tr_breakdown
+from repro.obs import build_tr_breakdown, render_timeline, render_tr_breakdown
 
 
 def main() -> None:
@@ -40,23 +41,9 @@ def main() -> None:
     result = manager.load_module("sobel")
     assert result is not None
 
-    # --- the span tree ------------------------------------------------
-    print("driver span tree (cycle timestamps):")
-    spans = {s.span_id: s for s in obs.tracer.spans}
-
-    def depth(span) -> int:
-        d = 0
-        while span.parent_id is not None:
-            span = spans[span.parent_id]
-            d += 1
-        return d
-
-    for span in obs.tracer.spans:
-        if span.track != "driver" or span.end_cycle is None:
-            continue
-        indent = "  " * depth(span)
-        print(f"  {indent}{span.name:<12} [{span.start_cycle:>8}, "
-              f"{span.end_cycle:>8}]  {span.duration:>7} cyc  {span.args}")
+    # --- the span timeline --------------------------------------------
+    print("span timeline:")
+    print(render_timeline(obs.tracer, soc.sim.freq_hz))
 
     # --- the latency breakdown ---------------------------------------
     breakdown = build_tr_breakdown(obs.tracer, soc.sim.freq_hz,
@@ -76,7 +63,6 @@ def main() -> None:
             print(f"  {key}: {snapshot[key]}")
 
     # --- file exports -------------------------------------------------
-    soc.capture_stats_metrics()
     artifacts = {
         "dpr_trace.json": obs.chrome_trace(soc.sim.freq_hz),
         "dpr_trace.vcd": obs.vcd(soc.sim.freq_hz),

@@ -5,11 +5,12 @@ Commands:
 * ``tables``   — regenerate Tables I-IV from live simulation runs
 * ``fig3``     — the reconfiguration-time-vs-RP-size sweep (Fig. 3)
 * ``unroll``   — the HWICAP loop-unrolling firmware study (Sec. IV-B)
-* ``reconfig`` — one reconfiguration with a trace timeline and stats
-  (``--trace-chrome``/``--trace-vcd``/``--metrics``/``--breakdown``
-  export span traces, signal dumps and metric snapshots)
-* ``trace``    — one traced reconfiguration; Perfetto/VCD/metrics
-  exports plus the Tr latency-breakdown report
+* ``reconfig`` — one traced reconfiguration; prints the span timeline
+  and the metrics registry (``--breakdown`` adds the Tr latency
+  breakdown)
+* ``trace``    — the same run with a terse console: the exports plus the
+  Tr latency-breakdown report (``--chrome``/``--vcd`` spell the trace
+  exports)
 * ``faults``   — fault-injection sweep: detection and recovery rates
 * ``lint``     — static analysis: SoC design-rule checks + AST lints
   (``--format json|sarif`` for CI artifacts, ``--list-rules`` for the
@@ -25,11 +26,13 @@ Commands:
 * ``power``    — cycle-integrated energy accounting: ``report`` renders
   the per-phase/per-component breakdown of one reconfiguration,
   ``sweep`` replays a workload under several peak-power caps
-  (``--power-chrome``/``--power-vcd`` on ``reconfig``/``sched-bench``/
-  ``serve`` export power-annotated traces)
 * ``asm``      — assemble an RV64 source file (optionally RVC-compressed)
 * ``disasm``   — disassemble a flat binary image
 * ``profile``  — cProfile a named simulator workload (pstats output)
+
+``reconfig``, ``trace``, ``sched-bench`` and ``serve`` share one group of
+export flags: Chrome trace, VCD dump, Prometheus and JSON metrics, and
+the power-annotated Chrome/VCD variants.
 """
 
 from __future__ import annotations
@@ -72,19 +75,47 @@ def _cmd_unroll(args: argparse.Namespace) -> int:
     return 0
 
 
+#: the per-run export flags, declared once by :func:`_add_export_flags`
+#: as (argument dest, help); ``trace`` spells the first two without
+#: their ``trace-`` prefix
+_EXPORT_FLAGS = (
+    ("trace_chrome", "write a Perfetto-loadable Chrome trace JSON"),
+    ("trace_vcd", "write a VCD signal dump"),
+    ("metrics", "write Prometheus text-format metrics"),
+    ("metrics_json", "write a JSON metrics snapshot"),
+    ("power_chrome", "write a Chrome trace with a power_mw counter "
+                     "track and per-span energy_nj attributes"),
+    ("power_vcd", "write a VCD dump including the power_mw signal"),
+)
+
+
+def _option(dest: str) -> str:
+    """The command-line spelling of an argument dest."""
+    return "--" + dest.replace("_", "-")
+
+
+def _add_export_flags(p: argparse.ArgumentParser, *,
+                      short_trace: bool = False) -> None:
+    for dest, help_text in _EXPORT_FLAGS:
+        flag = _option(dest)
+        if short_trace:
+            flag = flag.replace("--trace-", "--")
+        p.add_argument(flag, dest=dest, metavar="FILE", default=None,
+                       help=help_text)
+
+
 def _export_observability(soc, obs, args: argparse.Namespace) -> None:
-    """Write whichever trace/metric artifacts the flags requested."""
-    soc.capture_stats_metrics()
-    if getattr(args, "trace_chrome", None):
+    """Write whichever trace/metric artifacts the export flags requested."""
+    if args.trace_chrome:
         Path(args.trace_chrome).write_text(obs.chrome_trace(soc.sim.freq_hz))
         print(f"chrome trace written to {args.trace_chrome}")
-    if getattr(args, "trace_vcd", None):
+    if args.trace_vcd:
         Path(args.trace_vcd).write_text(obs.vcd(soc.sim.freq_hz))
         print(f"vcd dump written to {args.trace_vcd}")
-    if getattr(args, "metrics", None):
+    if args.metrics:
         Path(args.metrics).write_text(obs.prometheus())
         print(f"prometheus metrics written to {args.metrics}")
-    if getattr(args, "metrics_json", None):
+    if args.metrics_json:
         Path(args.metrics_json).write_text(obs.json_metrics())
         print(f"json metrics written to {args.metrics_json}")
     _export_power(soc, obs, args)
@@ -93,11 +124,10 @@ def _export_observability(soc, obs, args: argparse.Namespace) -> None:
 def _export_power(soc, obs, args: argparse.Namespace) -> None:
     """Power-annotated exports: energy per span + a power_mw track.
 
-    Runs after the plain exports so ``--trace-chrome`` stays
+    Runs after the plain exports so the plain Chrome trace stays
     byte-identical with or without the power flags.
     """
-    power_chrome = getattr(args, "power_chrome", None)
-    power_vcd = getattr(args, "power_vcd", None)
+    power_chrome, power_vcd = args.power_chrome, args.power_vcd
     if not (power_chrome or power_vcd):
         return
     from repro.power import DEFAULT_PROFILE, PowerModel
@@ -125,73 +155,33 @@ def _print_breakdown(soc, obs, result) -> None:
     print(render_tr_breakdown(breakdown))
 
 
-def _add_obs_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--trace-chrome", metavar="FILE", default=None,
-                   help="write a Perfetto-loadable Chrome trace JSON")
-    p.add_argument("--trace-vcd", metavar="FILE", default=None,
-                   help="write a VCD signal dump")
-    p.add_argument("--metrics", metavar="FILE", default=None,
-                   help="write Prometheus text-format metrics")
-    p.add_argument("--metrics-json", metavar="FILE", default=None,
-                   help="write a JSON metrics snapshot")
-    p.add_argument("--breakdown", action="store_true",
-                   help="print the Tr latency-breakdown report")
-    p.add_argument("--power-chrome", metavar="FILE", default=None,
-                   help="write a Chrome trace with a power_mw counter "
-                        "track and per-span energy_nj attributes")
-    p.add_argument("--power-vcd", metavar="FILE", default=None,
-                   help="write a VCD dump including the power_mw signal")
-
-
 def _cmd_reconfig(args: argparse.Namespace) -> int:
+    """One traced DPR for ``reconfig`` and ``trace``.
+
+    Observability is always attached (it is time-pure, so Td/Tr do not
+    move).  ``reconfig`` prints the span timeline and the metrics the
+    exports write; ``trace`` keeps the console terse.
+    """
     from repro.drivers.manager import ReconfigurationManager
+    from repro.obs import render_stats, render_timeline
     from repro.soc.builder import build_soc
-    from repro.sim.tracing import format_stats
 
     soc = build_soc()
-    recorder = soc.attach_trace()
-    wants_obs = any((args.trace_chrome, args.trace_vcd, args.metrics,
-                     args.metrics_json, args.breakdown,
-                     args.power_chrome, args.power_vcd))
-    obs = soc.attach_observability() if wants_obs else None
+    obs = soc.attach_observability()
     manager = ReconfigurationManager(soc, controller=args.controller)
     manager.provision_sdcard()
     manager.init_rmodules()
     result = manager.load_module(args.module)
     print(f"module {result.module}: Td={result.td_us:.1f} us, "
           f"Tr={result.tr_us:.1f} us, "
-          f"{result.throughput_mb_s:.1f} MB/s\n")
-    print("timeline:")
-    print(recorder.format_timeline(soc.sim.freq_hz))
-    print("\nstats:")
-    print(format_stats(soc.stats()))
-    if obs is not None:
-        _export_observability(soc, obs, args)
-        if args.breakdown:
-            _print_breakdown(soc, obs, result)
-    return 0
-
-
-def _cmd_trace(args: argparse.Namespace) -> int:
-    """One traced DPR: exports are the point, the console stays terse."""
-    from repro.drivers.manager import ReconfigurationManager
-    from repro.soc.builder import build_soc
-
-    soc = build_soc()
-    obs = soc.attach_observability()
-    manager = ReconfigurationManager(soc, controller="rvcap")
-    manager.provision_sdcard()
-    manager.init_rmodules()
-    result = manager.load_module(args.module)
-    print(f"module {result.module}: Td={result.td_us:.1f} us, "
-          f"Tr={result.tr_us:.1f} us, "
           f"{result.throughput_mb_s:.1f} MB/s")
-    # `trace` spells the flags --chrome/--vcd; reuse the shared exporter
-    # by aliasing them onto the reconfig-style attribute names
-    args.trace_chrome = args.chrome
-    args.trace_vcd = args.vcd
+    if args.command == "reconfig":
+        print("\ntimeline:")
+        print(render_timeline(obs.tracer, soc.sim.freq_hz))
+        print("\nstats:")
+        print(render_stats(obs.metrics))
     _export_observability(soc, obs, args)
-    if not args.no_breakdown:
+    if args.breakdown:
         _print_breakdown(soc, obs, result)
     return 0
 
@@ -243,7 +233,7 @@ def _report_format(args: argparse.Namespace) -> str:
     """Resolve ``--format`` (with the legacy ``--json`` alias)."""
     if args.format:
         return str(args.format)
-    return "json" if getattr(args, "json", False) else "human"
+    return "json" if args.json else "human"
 
 
 def _emit_findings(findings, args: argparse.Namespace, *,
@@ -448,55 +438,73 @@ def _render_sched_report(report) -> str:
 
 def _power_kwargs(args: argparse.Namespace) -> dict:
     """Scheduler power kwargs from the shared sched CLI flags."""
-    cap = getattr(args, "power_cap_mw", None)
-    wants = getattr(args, "power", False) or cap is not None \
-        or getattr(args, "power_chrome", None) \
-        or getattr(args, "power_vcd", None)
-    if not wants:
+    cap = args.power_cap_mw
+    if not (args.power or cap is not None
+            or args.power_chrome or args.power_vcd):
         return {}
     from repro.power import DEFAULT_PROFILE
     return {
         "power_profile": DEFAULT_PROFILE,
         "peak_power_mw": cap,
-        "power_window_us": getattr(args, "power_window_us", 200.0),
+        "power_window_us": args.power_window_us,
     }
 
 
 def _sched_platform(args: argparse.Namespace, modules: int, frame: int):
-    """Build the serving SoC + cache from shared sched CLI flags."""
+    """Build the serving SoC + cache from shared sched CLI flags.
+
+    Without a cache (``--cache-kb 0``) every module is staged into DDR
+    up front, so requests reconfigure straight from there.
+    """
     from repro.sched import build_sched_soc, make_cache
     manager = build_sched_soc(modules, frame=frame,
                               controller=args.controller)
-    cache = None
-    if args.cache_kb > 0:
-        cache = make_cache(manager, arena_bytes=args.cache_kb << 10,
-                           charge_sd_time=not args.no_sd_cost)
+    if args.cache_kb <= 0:
+        manager.init_rmodules()
+        return manager, None
+    cache = make_cache(manager, arena_bytes=args.cache_kb << 10,
+                       charge_sd_time=not args.no_sd_cost)
     return manager, cache
 
 
+def _sched_replay(args: argparse.Namespace, manager, cache, requests,
+                  prefetch=None):
+    """Replay ``requests`` with the shared sched CLI flags."""
+    from repro.sched import replay
+    return replay(manager, requests, cache=cache,
+                  batch_limit=args.batch_limit, drop_late=args.drop_late,
+                  reconfig_mode=args.mode, verify=args.verify,
+                  prefetch=prefetch, **_power_kwargs(args))
+
+
 def _finish_sched(manager, report, args: argparse.Namespace) -> int:
-    import json as _json
     if args.json:
-        print(_json.dumps(report.to_dict(), indent=2))
+        print(json.dumps(report.to_dict(), indent=2))
     else:
         print(_render_sched_report(report))
-    if getattr(args, "output", None):
+    if args.output:
         Path(args.output).write_text(
-            _json.dumps(report.to_dict(), indent=2) + "\n")
+            json.dumps(report.to_dict(), indent=2) + "\n")
         print(f"report written to {args.output}")
-    soc = manager.soc
-    if soc.obs is not None:
-        _export_observability(soc, soc.obs, args)
+    _export_observability(manager.soc, manager.soc.obs, args)
     return 0
 
 
 def _cmd_sched_bench(args: argparse.Namespace) -> int:
-    import json as _json
     from dataclasses import replace
     from repro.sched import (
-        WorkloadSpec, module_names, replay, save_trace, synthesize,
+        WorkloadSpec, module_names, save_trace, synthesize,
     )
 
+    if args.sweep:
+        # a sweep replays many runs: per-run artifacts have no single run
+        per_run = [_option(dest)
+                   for dest in (*(d for d, _ in _EXPORT_FLAGS), "emit_trace")
+                   if getattr(args, dest)]
+        if per_run:
+            print(f"sched-bench: --sweep cannot be combined with "
+                  f"{', '.join(per_run)}", file=sys.stderr)
+            return 2
     spec = WorkloadSpec(
         requests=args.requests,
         arrival_rate_rps=args.rate,
@@ -509,19 +517,13 @@ def _cmd_sched_bench(args: argparse.Namespace) -> int:
         timeout_us=args.timeout_us,
         seed=args.seed,
     )
+    warm = module_names(min(args.prefetch_hot, spec.modules)) or None
     if args.sweep:
-        from repro.sched import bench
         curves = []
         for rate in args.sweep:
-            report = bench(replace(spec, arrival_rate_rps=rate),
-                           cache_bytes=max(1, args.cache_kb) << 10,
-                           charge_sd_time=not args.no_sd_cost,
-                           batch_limit=args.batch_limit,
-                           drop_late=args.drop_late,
-                           controller=args.controller,
-                           reconfig_mode=args.mode,
-                           verify=args.verify,
-                           **_power_kwargs(args))
+            manager, cache = _sched_platform(args, spec.modules, spec.frame)
+            requests = synthesize(replace(spec, arrival_rate_rps=rate))
+            report = _sched_replay(args, manager, cache, requests, warm)
             entry = report.to_dict()
             entry["arrival_rate_rps"] = rate
             curves.append(entry)
@@ -529,10 +531,10 @@ def _cmd_sched_bench(args: argparse.Namespace) -> int:
                 print(f"-- {rate:.0f} req/s --")
                 print(_render_sched_report(report), end="\n\n")
         if args.json:
-            print(_json.dumps(curves, indent=2))
+            print(json.dumps(curves, indent=2))
         if args.output:
             Path(args.output).write_text(
-                _json.dumps(curves, indent=2) + "\n")
+                json.dumps(curves, indent=2) + "\n")
             print(f"sweep written to {args.output}")
         return 0
     requests = synthesize(spec)
@@ -540,16 +542,12 @@ def _cmd_sched_bench(args: argparse.Namespace) -> int:
         save_trace(requests, args.emit_trace, spec=spec)
         print(f"trace written to {args.emit_trace}")
     manager, cache = _sched_platform(args, spec.modules, spec.frame)
-    warm = module_names(min(args.prefetch_hot, spec.modules))
-    report = replay(manager, requests, cache=cache,
-                    batch_limit=args.batch_limit, drop_late=args.drop_late,
-                    reconfig_mode=args.mode, verify=args.verify,
-                    prefetch=warm or None, **_power_kwargs(args))
+    report = _sched_replay(args, manager, cache, requests, warm)
     return _finish_sched(manager, report, args)
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from repro.sched import load_trace, replay
+    from repro.sched import load_trace
 
     requests = load_trace(args.trace)
     if not requests:
@@ -574,10 +572,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print(f"serve: trace references unregistered modules "
               f"{sorted(missing)}", file=sys.stderr)
         return 2
-    report = replay(manager, requests, cache=cache,
-                    batch_limit=args.batch_limit, drop_late=args.drop_late,
-                    reconfig_mode=args.mode, verify=args.verify,
-                    **_power_kwargs(args))
+    report = _sched_replay(args, manager, cache, requests)
     return _finish_sched(manager, report, args)
 
 
@@ -745,28 +740,27 @@ def build_parser() -> argparse.ArgumentParser:
                    default=[1, 2, 4, 8, 16, 32])
     p.set_defaults(func=_cmd_unroll)
 
-    p = sub.add_parser("reconfig", help="run one DPR with trace + stats")
-    p.add_argument("module", choices=["sobel", "median", "gaussian"])
-    p.add_argument("--controller", choices=["rvcap", "hwicap"],
-                   default="rvcap")
-    _add_obs_flags(p)
-    p.set_defaults(func=_cmd_reconfig)
-
-    p = sub.add_parser("trace", help="run one traced DPR and export "
-                                     "Perfetto/VCD/metrics artifacts")
-    p.add_argument("module", nargs="?", default="sobel",
-                   choices=["sobel", "median", "gaussian"])
-    p.add_argument("--chrome", metavar="FILE", default=None,
-                   help="write a Perfetto-loadable Chrome trace JSON")
-    p.add_argument("--vcd", metavar="FILE", default=None,
-                   help="write a VCD signal dump")
-    p.add_argument("--metrics", metavar="FILE", default=None,
-                   help="write Prometheus text-format metrics")
-    p.add_argument("--metrics-json", metavar="FILE", default=None,
-                   help="write a JSON metrics snapshot")
-    p.add_argument("--no-breakdown", action="store_true",
-                   help="skip the Tr latency-breakdown report")
-    p.set_defaults(func=_cmd_trace)
+    for name, help_text in (
+            ("reconfig", "run one DPR; print its span timeline + stats"),
+            ("trace", "run one traced DPR and export Perfetto/VCD/"
+                      "metrics artifacts")):
+        terse = name == "trace"
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("module", nargs="?" if terse else None,
+                       default="sobel",
+                       choices=["sobel", "median", "gaussian"])
+        if terse:
+            p.add_argument("--no-breakdown", dest="breakdown",
+                           action="store_false",
+                           help="skip the Tr latency-breakdown report")
+            p.set_defaults(controller="rvcap")
+        else:
+            p.add_argument("--controller", choices=["rvcap", "hwicap"],
+                           default="rvcap")
+            p.add_argument("--breakdown", action="store_true",
+                           help="print the Tr latency-breakdown report")
+        _add_export_flags(p, short_trace=terse)
+        p.set_defaults(func=_cmd_reconfig)
 
     p = sub.add_parser("faults", help="fault-injection sweep: detection "
                                       "and recovery rates")
@@ -872,14 +866,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="print the report as JSON")
         p.add_argument("-o", "--output", default=None,
                        help="also write the JSON report to a file")
-        p.add_argument("--trace-chrome", metavar="FILE", default=None,
-                       help="write a Perfetto-loadable Chrome trace JSON")
-        p.add_argument("--trace-vcd", metavar="FILE", default=None,
-                       help="write a VCD signal dump")
-        p.add_argument("--metrics", metavar="FILE", default=None,
-                       help="write Prometheus text-format metrics")
-        p.add_argument("--metrics-json", metavar="FILE", default=None,
-                       help="write a JSON metrics snapshot")
         p.add_argument("--power", action="store_true",
                        help="charge modeled energy to every request "
                             "(calibrated default power profile)")
@@ -892,12 +878,7 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="US",
                        help="averaging window for the power cap "
                             "(default 200 us)")
-        p.add_argument("--power-chrome", metavar="FILE", default=None,
-                       help="write a Chrome trace with a power_mw "
-                            "counter track and per-span energy_nj")
-        p.add_argument("--power-vcd", metavar="FILE", default=None,
-                       help="write a VCD dump including the power_mw "
-                            "signal")
+        _add_export_flags(p)
 
     p = sub.add_parser("sched-bench",
                        help="replay a synthetic request stream through "

@@ -140,7 +140,6 @@ class DmaChannel:
         self.transfers_aborted = 0
         self.last_start_cycle = 0
         self.last_complete_cycle = 0
-        self.trace = None  # optional TraceRecorder
         self._active_gen = None  # in-flight _run generator (for reset abort)
         # observability (attach_obs): tracer spans + metric instruments;
         # every emit below is guarded so the detached cost is one check
@@ -180,10 +179,6 @@ class DmaChannel:
                 self._active_gen.close()
                 self._active_gen = None
                 self.transfers_aborted += 1
-                if self.trace is not None:
-                    self.trace.record(self.sim.now, f"dma.{self.name}",
-                                      f"reset: aborted after "
-                                      f"{self.bytes_done} bytes")
                 if self.obs is not None:
                     tracer = self.obs.tracer
                     if self._span is not None:
@@ -227,10 +222,6 @@ class DmaChannel:
         self.status &= ~SR_IDLE
         self.bytes_done = 0
         self.last_start_cycle = self.sim.now
-        if self.trace is not None:
-            self.trace.record(self.sim.now, f"dma.{self.name}",
-                              f"start: {self.length} bytes from/to "
-                              f"{self.address:#x}")
         if self.obs is not None:
             self._span = self.obs.tracer.begin(
                 f"dma.{self.name}", "transfer", self.sim.now,
@@ -261,10 +252,6 @@ class DmaChannel:
             self.status |= SR_ERR_IRQ | SR_HALTED
             self.control &= ~CR_RS
             self.transfers_errored += 1
-            if self.trace is not None:
-                self.trace.record(self.sim.now, f"dma.{self.name}",
-                                  f"error: burst failed after "
-                                  f"{self.bytes_done} bytes")
             if self.obs is not None:
                 tracer = self.obs.tracer
                 if self._span is not None:
@@ -280,10 +267,6 @@ class DmaChannel:
         self.status |= SR_IDLE | SR_IOC_IRQ
         self.transfers_completed += 1
         self.descriptors_completed += 1
-        if self.trace is not None:
-            self.trace.record(self.sim.now, f"dma.{self.name}",
-                              f"complete: {self.bytes_done} bytes in "
-                              f"{self.sim.now - self.last_start_cycle} cycles")
         if self.obs is not None:
             cycles = self.sim.now - self.last_start_cycle
             if self._span is not None:

@@ -113,12 +113,13 @@ class Icap(StreamSink):
         #: invoked after every error-free DESYNC (reconfiguration done);
         #: the SoC uses this to activate the newly loaded module
         self.on_complete: Optional[Callable[[], None]] = None
-        #: optional TraceRecorder for completion/error events
-        self.trace = None
         # observability (attach_obs): session spans + port metrics;
         # detached cost is a single ``is not None`` check per accept
         self.obs = None
         self._session_span = None
+        #: arrival cycle of the chunk being parsed (stamped while
+        #: attached); a session span starts where its SYNC word arrived
+        self._arrival = 0
         self._c_words: Optional["Counter"] = None
         self._c_stall: Optional["Counter"] = None
         self._c_sessions: Optional["Counter"] = None
@@ -191,10 +192,7 @@ class Icap(StreamSink):
             if busy > now:
                 self._c_stall.value += busy - now  # type: ignore[union-attr]
             self._c_words.value += len(data) // 4  # type: ignore[union-attr]
-            if self._session_span is None:
-                self._session_span = self.obs.tracer.begin(
-                    "icap", "session", now)
-                self.obs.tracer.signal("icap_session", now, 1)
+            self._arrival = now
         self._busy_until = (busy if busy > now else now) + cycles
         buffer = self._byte_buffer
         if buffer:
@@ -286,6 +284,7 @@ class Icap(StreamSink):
                     return
                 i += int(hits[0]) + 1
                 self._state = _ParseState.IDLE
+                self._open_session()
                 continue
             # IDLE: expect NOP or a packet header
             word = int(words[i])
@@ -329,6 +328,7 @@ class Icap(StreamSink):
             if self._state is _ParseState.UNSYNCED:
                 if word == SYNC_WORD:
                     self._state = _ParseState.IDLE
+                    self._open_session()
                 continue
             if word == NOOP_WORD:
                 continue
@@ -523,14 +523,22 @@ class Icap(StreamSink):
         del self.readback_queue[:max_words]
         return out
 
+    def _open_session(self) -> None:
+        """Open the ``icap/session`` span on a SYNC word (when attached).
+
+        Only the sync word starts a session: the padding that follows a
+        DESYNC reaches an unsynced device and is ignored, so it never
+        opens a span of its own.
+        """
+        obs = self.obs
+        if obs is not None and self._session_span is None:
+            self._session_span = obs.tracer.begin(
+                "icap", "session", self._arrival)
+            obs.tracer.signal("icap_session", self._arrival, 1)
+
     def _finish_desync(self) -> None:
         self.desynced_count += 1
         self._state = _ParseState.UNSYNCED
-        if self.trace is not None:
-            status = "error" if self.error else "ok"
-            self.trace.record(self._busy_until, "icap",
-                              f"desync ({status}), {self.words_consumed} "
-                              "words consumed so far")
         if self.obs is not None:
             self._c_sessions.inc()  # type: ignore[union-attr]
             if self._session_span is not None:

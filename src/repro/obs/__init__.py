@@ -1,7 +1,6 @@
 """Observability: span tracing, metrics and exporters for the simulator.
 
-The package replaces the ad-hoc message log (``repro.sim.tracing``) as
-the primary instrumentation surface:
+The package is the simulator's only instrumentation surface:
 
 * :class:`SpanTracer` — hierarchical begin/end spans with cycle
   timestamps over the DMA engines, AXIS switch, AXIS2ICAP converter,
@@ -9,7 +8,8 @@ the primary instrumentation surface:
 * :class:`MetricsRegistry` — named counters, gauges and HDR-bucketed
   cycle histograms components register into;
 * exporters — Chrome-trace/Perfetto JSON, VCD signal dumps, Prometheus
-  text, JSON snapshots, and the Tr latency-breakdown report.
+  text, JSON snapshots, the console timeline/stats views and the Tr
+  latency-breakdown report.
 
 Attach with ``soc.attach_observability()`` (or set a process-wide
 default via :func:`set_default_observability` so every
@@ -27,6 +27,8 @@ from repro.obs.exporters import (
     chrome_trace_json,
     metrics_json,
     prometheus_text,
+    render_stats,
+    render_timeline,
     validate_chrome_trace,
 )
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
@@ -94,6 +96,8 @@ __all__ = [
     "validate_chrome_trace",
     "prometheus_text",
     "metrics_json",
+    "render_timeline",
+    "render_stats",
     "vcd_dump",
     "parse_vcd",
     "Phase",

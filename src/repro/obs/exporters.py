@@ -1,4 +1,5 @@
-"""Exporters: Chrome-trace/Perfetto JSON, Prometheus text, JSON metrics.
+"""Exporters: Chrome-trace/Perfetto JSON, Prometheus text, JSON metrics,
+and the console timeline/stats views ``repro reconfig`` prints.
 
 Every exporter is a pure function of recorded state — no wall-clock, no
 environment — so identical simulation runs export byte-identical
@@ -194,3 +195,65 @@ def prometheus_text(registry: MetricsRegistry) -> str:
 def metrics_json(registry: MetricsRegistry) -> str:
     """JSON dump of the registry snapshot (stable key order)."""
     return json.dumps(registry.snapshot(), sort_keys=True, indent=2) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# console views
+# ---------------------------------------------------------------------------
+
+def _format_args(args: Dict[str, object]) -> str:
+    return " ".join(f"{key}={value}" for key, value in args.items())
+
+
+def render_timeline(tracer: SpanTracer, freq_hz: float = 100e6) -> str:
+    """Human-readable timeline: every span and instant in cycle order.
+
+    One line per record: start time, track, name (indented under its
+    parent span), duration and attributes.  A span that never closed
+    shows as ``open``.
+    """
+    depth: Dict[int, int] = {}
+    rows: List[tuple] = []
+    for order, span in enumerate(tracer.spans):
+        level = 0 if span.parent_id is None else depth[span.parent_id] + 1
+        depth[span.span_id] = level
+        if span.end_cycle is None:
+            extent = "open"
+        else:
+            extent = f"{span.duration * 1e6 / freq_hz:.2f} us"
+        text = f"{'  ' * level}{span.name} ({extent})"
+        rows.append((span.start_cycle, 0, order, span.track, text, span.args))
+    for order, instant in enumerate(tracer.instants):
+        rows.append((instant.cycle, 1, order, instant.track,
+                     f"{instant.name} (instant)", instant.args))
+    rows.sort(key=lambda row: row[:3])
+    lines = []
+    for cycle, _kind, _order, track, text, args in rows:
+        line = f"[{cycle * 1e6 / freq_hz:12.2f} us] {track:<12} {text}"
+        lines.append(f"{line}  {_format_args(args)}" if args else line)
+    return "\n".join(lines)
+
+
+def render_stats(registry: MetricsRegistry) -> str:
+    """Aligned table of every instrument, valued as the exports are.
+
+    Counters and gauges print the value :func:`prometheus_text` writes;
+    histograms summarize to count / p50 / p99 / max.  An empty registry
+    renders as the empty string.
+    """
+    rows = []
+    for instrument in registry.instruments():
+        if isinstance(instrument, Histogram):
+            value = f"count={instrument.count}"
+            if instrument.count:
+                value += (f" p50={instrument.percentile(0.50)}"
+                          f" p99={instrument.percentile(0.99)}"
+                          f" max={instrument.max}")
+        else:
+            assert isinstance(instrument, (Counter, Gauge))
+            value = str(instrument.value)
+        rows.append((instrument.name + instrument.label_suffix, value))
+    if not rows:
+        return ""
+    width = max(len(name) for name, _ in rows)
+    return "\n".join(f"{name:<{width}}  {value}" for name, value in rows)

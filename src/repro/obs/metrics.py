@@ -2,10 +2,10 @@
 
 Components register instruments once (at observability attach time) and
 update them on hot paths with plain attribute operations — no dict
-lookups, no string formatting.  The registry unifies the counters that
-used to be hand-collected by ``collect_soc_stats`` and adds
-distribution-valued measurements (per-burst DMA latency, interrupt
-service latency, crossbar contention) the scalar snapshot cannot hold.
+lookups, no string formatting.  Next to scalar counters and gauges it
+records distribution-valued measurements (per-burst DMA latency,
+interrupt service latency, crossbar contention) that no single number
+can summarize.
 
 Histograms use HDR-style bucketing: values below 8 get exact unit
 buckets, larger values land in power-of-two octaves split into 8

@@ -8,17 +8,10 @@ processes (:meth:`Simulator.add_process`) that ``yield`` wait conditions.
 
 from repro.sim.event import Event
 from repro.sim.kernel import Delay, Simulator, WaitEvent
-from repro.sim.clock import Clock, DerivedClock
-from repro.sim.tracing import TraceEvent, TraceRecorder, collect_soc_stats
 
 __all__ = [
     "Event",
     "Simulator",
     "Delay",
     "WaitEvent",
-    "Clock",
-    "DerivedClock",
-    "TraceEvent",
-    "TraceRecorder",
-    "collect_soc_stats",
 ]

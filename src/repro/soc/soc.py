@@ -36,7 +36,6 @@ from repro.soc.uart import Uart
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.obs import Observability
-    from repro.sim.tracing import TraceRecorder
 
 
 class Soc:
@@ -234,20 +233,6 @@ class Soc:
     # ------------------------------------------------------------------
     # observability
     # ------------------------------------------------------------------
-    def attach_trace(self,
-                     recorder: Optional["TraceRecorder"] = None
-                     ) -> "TraceRecorder":
-        """Attach a TraceRecorder to the instrumented components.
-
-        Returns the recorder (a fresh one is created when None given).
-        """
-        from repro.sim.tracing import TraceRecorder
-        recorder = recorder or TraceRecorder()
-        self.rvcap.dma.mm2s.trace = recorder
-        self.rvcap.dma.s2mm.trace = recorder
-        self.icap.trace = recorder
-        return recorder
-
     def attach_observability(self,
                              obs: Optional["Observability"] = None
                              ) -> "Observability":
@@ -274,22 +259,6 @@ class Soc:
         self.dma_xbar.attach_obs(obs)
         self.hwicap.attach_obs(obs)
         return obs
-
-    def capture_stats_metrics(self) -> None:
-        """Mirror the legacy counter snapshot into ``obs.metrics`` as
-        ``soc_*`` gauges so one metrics export carries both worlds."""
-        if self.obs is None:
-            return
-        for key, value in self.stats().items():
-            if isinstance(value, (int, float)) and not isinstance(value, bool):
-                self.obs.metrics.gauge(
-                    f"soc_{key}", "legacy collect_soc_stats counter"
-                ).set(value)
-
-    def stats(self) -> Dict[str, object]:
-        """Counter snapshot across all subsystems."""
-        from repro.sim.tracing import collect_soc_stats
-        return collect_soc_stats(self)
 
     # ------------------------------------------------------------------
     # convenience

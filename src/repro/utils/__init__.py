@@ -1,4 +1,4 @@
-"""Shared low-level helpers: bit manipulation, CRC, units, logging."""
+"""Shared low-level helpers: bit manipulation and CRC."""
 
 from repro.utils.bits import (
     MASK32,
@@ -14,14 +14,6 @@ from repro.utils.bits import (
     to_unsigned64,
 )
 from repro.utils.crc import crc32_xilinx, crc32_update
-from repro.utils.units import (
-    KIB,
-    MIB,
-    cycles_to_us,
-    format_bytes,
-    format_time_us,
-    mb_per_s,
-)
 
 __all__ = [
     "MASK32",
@@ -37,10 +29,4 @@ __all__ = [
     "to_unsigned64",
     "crc32_xilinx",
     "crc32_update",
-    "KIB",
-    "MIB",
-    "cycles_to_us",
-    "format_bytes",
-    "format_time_us",
-    "mb_per_s",
 ]

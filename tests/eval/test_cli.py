@@ -22,9 +22,20 @@ class TestReconfigCommand:
     def test_reconfig_prints_timeline_and_stats(self, capsys):
         assert main(["reconfig", "sobel"]) == 0
         out = capsys.readouterr().out
-        assert "Tr=1651.0 us" in out
-        assert "dma.mm2s" in out
-        assert "icap_reconfigurations" in out
+        assert "Td=18.0 us, Tr=1651.0 us" in out
+        timeline, stats = out.split("\ntimeline:\n")[1].split("\nstats:\n")
+        # the timeline is rendered from the span tracer
+        transfer = next(line for line in timeline.splitlines()
+                        if " dma.mm2s " in line)
+        assert "transfer (" in transfer and "bytes=650892" in transfer
+        session = next(line for line in timeline.splitlines()
+                       if " icap " in line)
+        assert "session (" in session and "status=ok" in session
+        # the stats are the metrics registry --metrics exports
+        stats = dict(line.split(None, 1) for line in stats.splitlines())
+        assert stats["icap_sessions_total"] == "1"
+        assert stats["driver_reconfigurations_total"] == "1"
+        assert stats["dma_mm2s_bytes_total"] == "650892"
 
 
 class TestFaultsCommand:

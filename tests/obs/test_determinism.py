@@ -41,3 +41,13 @@ class TestTraceDeterminism:
         capsys.readouterr()
         for flag in outputs[0]:
             assert outputs[0][flag] == outputs[1][flag], flag
+
+    def test_trace_and_reconfig_write_the_same_chrome_trace(
+            self, tmp_path, capsys):
+        trace_out = tmp_path / "a.json"
+        reconfig_out = tmp_path / "b.json"
+        assert main(["trace", "sobel", "--chrome", str(trace_out)]) == 0
+        assert main(["reconfig", "sobel",
+                     "--trace-chrome", str(reconfig_out)]) == 0
+        capsys.readouterr()
+        assert trace_out.read_bytes() == reconfig_out.read_bytes()

@@ -1,101 +1,64 @@
-from repro.sim.tracing import TraceEvent, TraceRecorder, format_stats
+"""A reconfiguration as the obs spans, metrics and component counters
+record it, and the console views ``repro reconfig`` prints from them."""
 
-
-class TestTraceRecorder:
-    def test_records_in_order(self):
-        recorder = TraceRecorder()
-        recorder.record(10, "dma.mm2s", "start")
-        recorder.record(20, "icap", "desync (ok)")
-        assert [e.category for e in recorder.events] == ["dma.mm2s", "icap"]
-
-    def test_category_filter(self):
-        recorder = TraceRecorder(enabled_categories={"icap"})
-        recorder.record(1, "dma.mm2s", "ignored")
-        recorder.record(2, "icap", "kept")
-        assert len(recorder.events) == 1
-
-    def test_capacity_bound(self):
-        recorder = TraceRecorder(capacity=3)
-        for i in range(10):
-            recorder.record(i, "x", "m")
-        assert len(recorder.events) == 3
-        assert recorder.dropped == 7
-
-    def test_ring_keeps_most_recent_on_wraparound(self):
-        recorder = TraceRecorder(capacity=3)
-        for i in range(10):
-            recorder.record(i, "x", f"event {i}")
-        # a ring buffer retains the tail of the run, oldest first
-        assert [e.cycle for e in recorder.events] == [7, 8, 9]
-        assert [e.message for e in recorder.events] == \
-            ["event 7", "event 8", "event 9"]
-        assert recorder.dropped == 7
-        # and keeps rolling: one more record evicts cycle 7
-        recorder.record(10, "x", "event 10")
-        assert [e.cycle for e in recorder.events] == [8, 9, 10]
-        assert recorder.dropped == 8
-
-    def test_clear_resets_ring(self):
-        recorder = TraceRecorder(capacity=2)
-        for i in range(5):
-            recorder.record(i, "x", "m")
-        recorder.clear()
-        assert recorder.events == [] and recorder.dropped == 0
-        recorder.record(9, "x", "fresh")
-        assert [e.cycle for e in recorder.events] == [9]
-
-    def test_by_category_and_clear(self):
-        recorder = TraceRecorder()
-        recorder.record(1, "a", "x")
-        recorder.record(2, "b", "y")
-        assert len(recorder.by_category("a")) == 1
-        recorder.clear()
-        assert not recorder.events and recorder.dropped == 0
-
-    def test_event_formatting(self):
-        event = TraceEvent(cycle=165_100, category="icap", message="done")
-        text = event.format(100e6)
-        assert "1651.00 us" in text and "icap" in text
+from repro.obs import MetricsRegistry, render_stats, render_timeline
 
 
 class TestFormatStats:
     def test_empty_stats_formats_to_empty_string(self):
-        assert format_stats({}) == ""
+        assert render_stats(MetricsRegistry()) == ""
 
     def test_mixed_value_types(self):
-        text = format_stats({"a": 1, "bb": 2.5})
-        assert "a" in text and "2.50" in text
+        registry = MetricsRegistry()
+        registry.counter("a").inc()
+        registry.gauge("bb").set(2.5)
+        registry.histogram("ccc").record(7)
+        lines = render_stats(registry).splitlines()
+        assert lines == ["a    1", "bb   2.5",
+                         "ccc  count=1 p50=7 p99=7 max=7"]
 
 
 class TestSocIntegration:
     def test_trace_captures_reconfiguration(self, provisioned_manager_factory):
         soc, manager = provisioned_manager_factory()
-        recorder = soc.attach_trace()
+        obs = soc.attach_observability()
         manager.load_module("sobel")
-        categories = {e.category for e in recorder.events}
-        assert "dma.mm2s" in categories
-        assert "icap" in categories
-        # start then complete, time-ordered
-        dma = recorder.by_category("dma.mm2s")
-        assert "start" in dma[0].message and "complete" in dma[1].message
-        assert dma[0].cycle < dma[1].cycle
-        assert "650892 bytes" in dma[0].message
+        tracer = obs.tracer
+        # the DMA transfer starts, then completes, moving the whole pbit
+        (transfer,) = tracer.find("dma.mm2s", "transfer")
+        assert transfer.start_cycle < transfer.end_cycle
+        assert transfer.args["length"] == 650892
+        assert transfer.args["bytes"] == 650892
+        assert transfer.args["status"] == "ok"
+        (session,) = tracer.find("icap", "session")
+        assert session.args["status"] == "ok"
+        assert obs.metrics.get("driver_reconfigurations_total").value == 1
+        assert obs.metrics.get("icap_sessions_total").value == 1
 
     def test_stats_snapshot(self, provisioned_manager_factory):
         soc, manager = provisioned_manager_factory()
+        obs = soc.attach_observability()
         manager.load_module("median")
-        stats = soc.stats()
-        assert stats["icap_reconfigurations"] == 1
-        assert stats["config_frames_written"] == soc.rp.frames
-        assert stats["ddr_bytes_read"] >= 650_892
-        assert stats["plic_claims"] == 1
-        assert stats["icap_errors"] == 0
-        text = format_stats(stats)
-        assert "icap_reconfigurations" in text
+        assert soc.icap.reconfigurations_completed == 1
+        assert soc.config_memory.frames_written == soc.rp.frames
+        assert soc.ddr.bytes_read >= 650_892
+        assert soc.plic.claims == 1
+        assert not soc.icap.error
+        text = render_stats(obs.metrics)
+        assert "icap_sessions_total" in text
+        assert "dma_mm2s_bytes_total" in text
 
     def test_timeline_rendering(self, provisioned_manager_factory):
         soc, manager = provisioned_manager_factory()
-        recorder = soc.attach_trace()
+        obs = soc.attach_observability()
         manager.load_module("gaussian")
-        timeline = recorder.format_timeline(soc.sim.freq_hz)
+        timeline = render_timeline(obs.tracer, soc.sim.freq_hz)
         assert "us]" in timeline and "dma.mm2s" in timeline
+        assert "status=ok" in timeline
+        # one line per span and instant, in cycle order
+        lines = timeline.splitlines()
+        assert len(lines) == len(obs.tracer.spans) + len(obs.tracer.instants)
+        starts = [float(line[1:line.index(" us]")]) for line in lines]
+        assert starts == sorted(starts)
+        # nested driver phases indent under the reconfig root
+        assert any(" driver         decision (" in line for line in lines)
