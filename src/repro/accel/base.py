@@ -200,6 +200,19 @@ class StreamAccelerator(StreamSink, StreamSource):
     # ------------------------------------------------------------------
     # output stream (to DMA S2MM through the switch)
     # ------------------------------------------------------------------
+    def retry_spacing(self) -> int:
+        """Cycles between consecutive not-ready pulls (see StreamSource).
+
+        A not-ready pull at ``t`` answers ``max(t + 1, in_busy)`` and
+        only new input changes that, so back-to-back retries land one
+        cycle apart once past ``in_busy``; 0 while data or the end of
+        frame is pending.
+        """
+        if (self._out_cursor >= len(self._out_rows)
+                and self._rows_computed < self.height):
+            return 1
+        return 0
+
     def produce(self, nbytes: int, now: int) -> tuple[bytes, int]:
         if self._out_cursor >= len(self._out_rows):
             if self._rows_computed >= self.height:

@@ -490,6 +490,33 @@ def _finish_sched(manager, report, args: argparse.Namespace) -> int:
     return 0
 
 
+def _refuse_bad_config(command: str):
+    """Report a serving command's configuration error on one line.
+
+    Workload, platform and scheduler arguments are validated where they
+    are built (``WorkloadSpec``, ``make_cache``, ``DprScheduler``) and
+    raise :class:`SchedulerError` / :class:`ControllerError`; run-time
+    failures are recorded per request, so anything escaping is a bad
+    configuration.  It becomes ``<command>: <reason>`` on stderr and
+    exit code 2, the tool-failed code of the lint/verify contract.
+    """
+    import functools
+
+    from repro.errors import ControllerError, SchedulerError
+
+    def wrap(handler):
+        @functools.wraps(handler)
+        def run(args: argparse.Namespace) -> int:
+            try:
+                return int(handler(args))
+            except (SchedulerError, ControllerError) as exc:
+                print(f"{command}: {exc}", file=sys.stderr)
+                return EXIT_INTERNAL_ERROR
+        return run
+    return wrap
+
+
+@_refuse_bad_config("sched-bench")
 def _cmd_sched_bench(args: argparse.Namespace) -> int:
     from dataclasses import replace
     from repro.sched import (
@@ -546,6 +573,7 @@ def _cmd_sched_bench(args: argparse.Namespace) -> int:
     return _finish_sched(manager, report, args)
 
 
+@_refuse_bad_config("serve")
 def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.sched import load_trace
 
@@ -576,6 +604,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return _finish_sched(manager, report, args)
 
 
+@_refuse_bad_config("power")
 def _cmd_power(args: argparse.Namespace) -> int:
     """Energy/power accounting: breakdown report or cap sweep."""
     if args.power_command == "report":
@@ -608,7 +637,7 @@ def _cmd_power(args: argparse.Namespace) -> int:
         modules=args.modules, frame=args.frame,
         deadline_slack_us=args.deadline_slack_us, seed=args.seed)
     points = power_sweep(spec, list(args.caps),
-                         cache_bytes=max(1, args.cache_kb) << 10,
+                         cache_bytes=max(0, args.cache_kb) << 10,
                          power_window_us=args.power_window_us)
     if args.json:
         print(json.dumps(points, indent=2))

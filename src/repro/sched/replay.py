@@ -234,11 +234,19 @@ def bench(spec: WorkloadSpec, *,
           peak_power_mw: Optional[float] = None,
           power_window_us: float = 200.0,
           energy_budgets_nj: Optional[Dict[str, float]] = None) -> ReplayReport:
-    """One-call benchmark: build platform, synthesize, replay."""
+    """One-call benchmark: build platform, synthesize, replay.
+
+    ``cache_bytes=0`` runs without a bitstream cache: every module is
+    staged into DDR up front, as ``sched-bench --cache-kb 0`` does.
+    """
     manager = build_sched_soc(spec.modules, frame=spec.frame,
                               controller=controller)
-    cache = make_cache(manager, arena_bytes=cache_bytes,
-                       charge_sd_time=charge_sd_time)
+    cache: Optional[BitstreamCache] = None
+    if cache_bytes > 0:
+        cache = make_cache(manager, arena_bytes=cache_bytes,
+                           charge_sd_time=charge_sd_time)
+    else:
+        manager.init_rmodules()
     requests = synthesize(spec)
     warm = [f"rm{i}" for i in range(min(prefetch_hot, spec.modules))]
     return replay(manager, requests, cache=cache, batch_limit=batch_limit,

@@ -79,6 +79,8 @@ class WorkloadSpec:
             raise SchedulerError("a workload needs at least one module")
         if self.arrival_rate_rps <= 0:
             raise SchedulerError("arrival_rate_rps must be positive")
+        if self.zipf_s < 0:
+            raise SchedulerError("zipf_s must be >= 0 (0 = uniform)")
         if not 0.0 <= self.slack_jitter < 1.0:
             raise SchedulerError("slack_jitter must be in [0, 1)")
 

@@ -1,12 +1,12 @@
-"""Burst-vs-descriptor DMA engine equivalence over randomized scenarios.
+"""DMA engine vs the per-burst reference oracle over randomized scenarios.
 
-The descriptor engine collapses a transfer's per-burst simulation
+The production engine collapses a transfer's per-burst simulation
 events into one computed timeline; these properties pin it to the
-per-burst reference engine under everything that can interrupt a
-transfer mid-flight: random lengths and burst geometries, injected bus
-faults, soft resets, and the full multi-tenant serving path (where the
-whole ReplayReport — statuses, latencies, Tr breakdowns, ICAP busy
-cycles — must come out bit-identical).
+per-burst reference (``dma_reference.py``) under everything that can
+interrupt a transfer mid-flight: random lengths and burst geometries,
+injected bus faults, soft resets, and the full multi-tenant serving
+path (where the whole ReplayReport — statuses, latencies, Tr
+breakdowns, ICAP busy cycles — must come out bit-identical).
 """
 
 import asyncio
@@ -17,59 +17,54 @@ from hypothesis import strategies as st
 
 from repro.axi.stream import BufferSource, CaptureSink
 from repro.core import dma as dr
-from repro.core.dma import AxiDma, set_default_dma_engine
+from repro.core.dma import AxiDma
 from repro.faults.injectors import DmaResetInjector, install_mem_fault
 from repro.mem.ddr import DdrController
 from repro.sim import Simulator
+from tests.property.dma_reference import use_reference_dma
 
-ENGINES = ("burst", "descriptor")
-
-
-def _with_engine(engine, fn):
-    """Run ``fn`` with ``engine`` as the process-default DMA engine."""
-    set_default_dma_engine(engine)
-    try:
-        return fn()
-    finally:
-        set_default_dma_engine("descriptor")
+#: ``True`` runs the reference oracle, ``False`` the production engine
+ENGINES = (True, False)
 
 
-def _mm2s_observe(engine, length, burst_beats, seed, *,
+def _prepare(dma, reference):
+    return use_reference_dma(dma) if reference else dma
+
+
+def _mm2s_observe(reference, length, burst_beats, seed, *,
                   fault_at=None, reset_delay=None):
     """Every externally visible observable of one MM2S transfer."""
-    def run():
-        sim = Simulator()
-        ddr = DdrController(1 << 20)
-        dma = AxiDma(sim, ddr, burst_beats=burst_beats)
-        rng = np.random.default_rng(seed)
-        payload = rng.integers(0, 256, size=length, dtype=np.uint16).astype(
-            np.uint8).tobytes()
-        ddr.load_image(0x400, payload)
-        sink = CaptureSink(bytes_per_cycle=4)
-        channel = dma.mm2s
-        channel.sink = sink
-        proxy = None
-        if fault_at is not None:
-            proxy = install_mem_fault(channel, fail_read_at=fault_at)
-        if reset_delay is not None:
-            DmaResetInjector(sim, channel, reset_delay)
-        dma.write(dr.MM2S_DMACR, dr.CR_RS.to_bytes(4, "little"), 0)
-        dma.write(dr.MM2S_SA, (0x400).to_bytes(4, "little"), 0)
-        dma.write(dr.MM2S_LENGTH, length.to_bytes(4, "little"), 0)
-        sim.run()
-        return {
-            "data": bytes(sink.data),
-            "bytes_done": channel.bytes_done,
-            "status": channel.status,
-            "completed": channel.transfers_completed,
-            "errored": channel.transfers_errored,
-            "aborted": channel.transfers_aborted,
-            "start_cycle": channel.last_start_cycle,
-            "complete_cycle": channel.last_complete_cycle,
-            "final_now": sim.now,
-            "faults_injected": proxy.faults_injected if proxy else 0,
-        }
-    return _with_engine(engine, run)
+    sim = Simulator()
+    ddr = DdrController(1 << 20)
+    dma = _prepare(AxiDma(sim, ddr, burst_beats=burst_beats), reference)
+    rng = np.random.default_rng(seed)
+    payload = rng.integers(0, 256, size=length, dtype=np.uint16).astype(
+        np.uint8).tobytes()
+    ddr.load_image(0x400, payload)
+    sink = CaptureSink(bytes_per_cycle=4)
+    channel = dma.mm2s
+    channel.sink = sink
+    proxy = None
+    if fault_at is not None:
+        proxy = install_mem_fault(channel, fail_read_at=fault_at)
+    if reset_delay is not None:
+        DmaResetInjector(sim, channel, reset_delay)
+    dma.write(dr.MM2S_DMACR, dr.CR_RS.to_bytes(4, "little"), 0)
+    dma.write(dr.MM2S_SA, (0x400).to_bytes(4, "little"), 0)
+    dma.write(dr.MM2S_LENGTH, length.to_bytes(4, "little"), 0)
+    sim.run()
+    return {
+        "data": bytes(sink.data),
+        "bytes_done": channel.bytes_done,
+        "status": channel.status,
+        "completed": channel.transfers_completed,
+        "errored": channel.transfers_errored,
+        "aborted": channel.transfers_aborted,
+        "start_cycle": channel.last_start_cycle,
+        "complete_cycle": channel.last_complete_cycle,
+        "final_now": sim.now,
+        "faults_injected": proxy.faults_injected if proxy else 0,
+    }
 
 
 class TestTransferEquivalence:
@@ -81,11 +76,11 @@ class TestTransferEquivalence:
     )
     def test_clean_transfer_is_cycle_identical(self, length, burst_beats,
                                                seed):
-        burst, desc = (
+        reference, production = (
             _mm2s_observe(engine, length, burst_beats, seed)
             for engine in ENGINES
         )
-        assert burst == desc
+        assert reference == production
 
     @settings(max_examples=15, deadline=None)
     @given(
@@ -96,16 +91,16 @@ class TestTransferEquivalence:
     )
     def test_mid_transfer_bus_fault_is_cycle_identical(
             self, length, burst_beats, seed, fault_frac):
-        # the faulting burst must split out of the descriptor's fused
-        # timeline at exactly the reference engine's cycle
+        # the faulting burst must split out of the production engine's
+        # eager timeline at exactly the reference engine's cycle
         fault_at = int(fault_frac * length)
-        burst, desc = (
+        reference, production = (
             _mm2s_observe(engine, length, burst_beats, seed,
                           fault_at=fault_at)
             for engine in ENGINES
         )
-        assert burst == desc
-        assert burst["faults_injected"] == 1
+        assert reference == production
+        assert reference["faults_injected"] == 1
 
     @settings(max_examples=15, deadline=None)
     @given(
@@ -115,20 +110,20 @@ class TestTransferEquivalence:
     )
     def test_mid_transfer_soft_reset_is_cycle_identical(
             self, length, burst_beats, reset_delay):
-        burst, desc = (
+        reference, production = (
             _mm2s_observe(engine, length, burst_beats, seed=7,
                           reset_delay=reset_delay)
             for engine in ENGINES
         )
-        assert burst == desc
+        assert reference == production
 
     @settings(max_examples=15, deadline=None)
     @given(st.binary(min_size=1, max_size=4000))
     def test_s2mm_roundtrip_is_cycle_identical(self, payload):
-        def run():
+        def run(reference):
             sim = Simulator()
             ddr = DdrController(1 << 20)
-            dma = AxiDma(sim, ddr)
+            dma = _prepare(AxiDma(sim, ddr), reference)
             dma.s2mm.source = BufferSource(payload)
             dma.write(dr.S2MM_DMACR, dr.CR_RS.to_bytes(4, "little"), 0)
             dma.write(dr.S2MM_DA, (0x800).to_bytes(4, "little"), 0)
@@ -137,32 +132,31 @@ class TestTransferEquivalence:
             return (ddr.dump(0x800, len(payload)), dma.s2mm.bytes_done,
                     dma.s2mm.status, dma.s2mm.last_complete_cycle, sim.now)
 
-        burst, desc = (_with_engine(engine, run) for engine in ENGINES)
-        assert burst == desc
+        reference, production = (run(engine) for engine in ENGINES)
+        assert reference == production
 
 
-def _replay_observe(engine, seed, rate):
+def _replay_observe(reference, seed, rate):
     """Full serving-path replay: report dict + raw ICAP busy cycles."""
-    def run():
-        from repro.sched import (
-            DprScheduler, WorkloadSpec, build_sched_soc, make_cache,
-            synthesize,
-        )
-        from repro.sched.replay import _serve, summarize
+    from repro.sched import (
+        DprScheduler, WorkloadSpec, build_sched_soc, make_cache,
+        synthesize,
+    )
+    from repro.sched.replay import _serve, summarize
 
-        spec = WorkloadSpec(requests=40, arrival_rate_rps=rate, modules=4,
-                            frame=16, deadline_slack_us=20_000.0, seed=seed)
-        manager = build_sched_soc(spec.modules, frame=spec.frame)
-        manager.soc.attach_observability()
-        cache = make_cache(manager, arena_bytes=1 << 18)
-        scheduler = DprScheduler(manager, cache=cache)
-        outcomes = asyncio.run(_serve(scheduler, synthesize(spec)))
-        report = summarize(outcomes, scheduler=scheduler, cache=cache,
-                           wall_seconds=0.0)
-        document = report.to_dict(include_outcomes=True)
-        document.pop("wall_seconds")
-        return document, scheduler.icap_busy_cycles
-    return _with_engine(engine, run)
+    spec = WorkloadSpec(requests=40, arrival_rate_rps=rate, modules=4,
+                        frame=16, deadline_slack_us=20_000.0, seed=seed)
+    manager = build_sched_soc(spec.modules, frame=spec.frame)
+    manager.soc.attach_observability()
+    _prepare(manager.soc.rvcap.dma, reference)
+    cache = make_cache(manager, arena_bytes=1 << 18)
+    scheduler = DprScheduler(manager, cache=cache)
+    outcomes = asyncio.run(_serve(scheduler, synthesize(spec)))
+    report = summarize(outcomes, scheduler=scheduler, cache=cache,
+                       wall_seconds=0.0)
+    document = report.to_dict(include_outcomes=True)
+    document.pop("wall_seconds")
+    return document, scheduler.icap_busy_cycles
 
 
 class TestServingPathEquivalence:
@@ -172,12 +166,12 @@ class TestServingPathEquivalence:
         st.sampled_from([500.0, 2000.0, 8000.0]),
     )
     def test_replay_reports_are_identical(self, seed, rate):
-        burst, desc = (
+        reference, production = (
             _replay_observe(engine, seed, rate) for engine in ENGINES
         )
-        burst_doc, burst_busy = burst
-        desc_doc, desc_busy = desc
+        reference_doc, reference_busy = reference
+        production_doc, production_busy = production
         # per-request outcomes carry the Td/Tr/Tc breakdown, so dict
         # equality pins every latency the report can surface
-        assert burst_doc == desc_doc
-        assert burst_busy == desc_busy
+        assert reference_doc == production_doc
+        assert reference_busy == production_busy

@@ -1,6 +1,9 @@
-"""``sched-bench``/``serve`` flag handling: cache-less runs and sweeps."""
+"""``sched-bench``/``serve``/``power sweep`` flag handling: cache-less
+runs, sweeps, and configuration errors refused up front."""
 
 import json
+
+import pytest
 
 from repro.cli import main
 
@@ -80,3 +83,47 @@ class TestSweep:
                      "--emit-trace", str(trace)]) == 2
         assert "--emit-trace" in capsys.readouterr().err
         assert not trace.exists()
+
+
+class TestBadConfigRefused:
+    """Config-time errors print one line and exit 2, no traceback."""
+
+    @pytest.mark.parametrize("flag, value, reason", [
+        ("--requests", "0", "at least one request"),
+        ("--rate", "0", "arrival_rate_rps must be positive"),
+        ("--modules", "0", "at least one module"),
+        ("--zipf", "-1", "zipf_s must be >= 0"),
+    ])
+    def test_sched_bench(self, flag, value, reason, capsys):
+        assert main(["sched-bench", *SMALL, flag, value]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("sched-bench: ")
+        assert reason in captured.err
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+
+    def test_serve(self, tmp_path, capsys):
+        trace = tmp_path / "trace.json"
+        assert main(["sched-bench", *SMALL, "--emit-trace", str(trace)]) == 0
+        capsys.readouterr()
+        assert main(["serve", str(trace), "--batch-limit", "0"]) == 2
+        err = capsys.readouterr().err
+        assert err == "serve: batch_limit must be >= 1\n"
+
+    def test_power_sweep(self, capsys):
+        assert main(["power", "sweep", "--caps", "300", "--requests", "0"]) == 2
+        err = capsys.readouterr().err
+        assert err == "power: a workload needs at least one request\n"
+
+
+class TestPowerSweepWithoutCache:
+    def test_stages_modules_instead_of_a_tiny_arena(self, tmp_path, capsys):
+        out = tmp_path / "sweep.json"
+        assert main(["power", "sweep", "--caps", "300", "--requests", "20",
+                     "--cache-kb", "0", "-o", str(out)]) == 0
+        capsys.readouterr()
+        for point in _report(out):
+            assert point["cache"] is None
+            assert point["completed"] == 20
+            assert point["deadline_miss_rate"] < 1.0
+            assert point["power"]["energy_nj_total"] > 0

@@ -44,6 +44,9 @@ class TestSynthesis:
             WorkloadSpec(arrival_rate_rps=0)
         with pytest.raises(SchedulerError):
             WorkloadSpec(slack_jitter=1.5)
+        with pytest.raises(SchedulerError):
+            WorkloadSpec(zipf_s=-1.0)
+        assert WorkloadSpec(zipf_s=0.0).zipf_s == 0.0  # uniform is fine
 
 
 class TestTraceFiles:
