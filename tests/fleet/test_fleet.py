@@ -10,7 +10,7 @@ import time
 import pytest
 
 from repro.errors import ControllerError
-from repro.fleet import FLEET_TASKS, derive_seed, run_fleet
+from repro.fleet import FLEET_TASKS, FleetTask, derive_seed, run_fleet
 from repro.obs.metrics import MetricsRegistry
 
 
@@ -143,3 +143,48 @@ class TestRunFleet:
                            params={"points": 1, "kinds": ("truncate",)})
         assert report.workers == 4
         assert len(report.units) == 1
+
+
+def _echo_units(*, seed, count=7, caller=None, fail_in_child=False):
+    return [{"i": i, "caller": caller, "fail_in_child": fail_in_child}
+            for i in range(count)]
+
+
+def _echo_run(unit):
+    if os.getpid() == unit["caller"]:
+        time.sleep(0.2)  # leaves the remaining units to the children
+    elif unit["fail_in_child"]:
+        raise ControllerError(f"unit {unit['i']} failed in a child")
+    else:
+        time.sleep(0.05)  # leaves a unit for the caller to claim
+    return {"i": unit["i"], "pid": os.getpid()}
+
+
+@pytest.fixture
+def echo_task(monkeypatch):
+    try:
+        multiprocessing.get_context("fork")
+    except ValueError:
+        pytest.skip("no fork start method on this platform")
+    monkeypatch.setitem(FLEET_TASKS, "echo", FleetTask(
+        name="echo", description="returns its unit index and pid",
+        units=_echo_units, run_unit=_echo_run,
+        summarize=lambda results: {"points": len(results)}))
+    return "echo"
+
+
+class TestShardedRunner:
+    def test_results_merge_back_in_unit_order(self, echo_task):
+        report = run_fleet(echo_task, workers=3,
+                           params={"caller": os.getpid()})
+        results = [entry["result"] for entry in report.units]
+        assert [r["i"] for r in results] == list(range(7))
+        pids = {r["pid"] for r in results}
+        # the caller works through units too, next to the children
+        assert os.getpid() in pids
+        assert len(pids) >= 2
+
+    def test_child_unit_error_reaches_caller(self, echo_task):
+        with pytest.raises(ControllerError, match="failed in a child"):
+            run_fleet(echo_task, workers=3,
+                      params={"caller": os.getpid(), "fail_in_child": True})
